@@ -37,19 +37,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Apply the `FFR_EVAL` evaluation-path override to a campaign config:
-/// `frontier` (default), `cone` (static cone, frontier off) or `full`
-/// (whole-circuit ablation). Evaluation paths are bit-identical by
+/// `frontier` (default; the event-driven cone hybrid) or `full` (the
+/// whole-circuit reference oracle). Evaluation paths are bit-identical by
 /// construction, so the override is a pure performance knob — it is
 /// deliberately *not* part of the campaign fingerprint and a checkpoint
 /// written under one path resumes under any other.
 fn apply_eval_override(config: CampaignConfig) -> CampaignConfig {
     match std::env::var("FFR_EVAL").as_deref() {
         Ok("full") => config.with_cone(false),
-        Ok("cone") => config.with_frontier(false),
         Ok("frontier") | Err(_) => config,
         Ok(other) => {
             eprintln!(
-                "warning: unknown FFR_EVAL={other:?} (expected full|cone|frontier), using default"
+                "warning: unknown FFR_EVAL={other:?} (expected frontier|full), using default"
             );
             config
         }

@@ -488,7 +488,7 @@ impl CampaignStats {
 
         // Frontier-restriction effectiveness, derived from the frontier.*
         // counters the runner records once per retired point. Evaluated +
-        // skipped together equal what the static cone path would have run.
+        // skipped together equal every cone op on every simulated cycle.
         let evaluated = self
             .counters
             .get("frontier.ops_evaluated")
@@ -509,7 +509,7 @@ impl CampaignStats {
             };
             let _ = writeln!(
                 out,
-                "\nfrontier restriction:\n  {evaluated} cone ops evaluated, {skipped} skipped ({:.1}% of static cone work); mean peak frontier {mean_peak:.1} ops/cycle",
+                "\nfrontier restriction:\n  {evaluated} cone ops evaluated ({:.1}% of cone ops x simulated cycles), {skipped} skipped; mean peak frontier {mean_peak:.1} ops/cycle",
                 frac * 100.0,
             );
         }

@@ -102,6 +102,18 @@ fn telemetry_stats_status_and_gc_flow() {
         matches!(injections, serde_json::Value::U64(n) if *n > 0),
         "{injections:?}"
     );
+    // The text report's frontier percentage is the evaluated share of
+    // the merged frontier counters, printed right after "evaluated".
+    let counter = |name: &str| match get(&doc, &["counters", name]) {
+        serde_json::Value::U64(n) => *n,
+        other => panic!("counter `{name}` is {other:?}"),
+    };
+    let evaluated = counter("frontier.ops_evaluated");
+    let skipped = counter("frontier.ops_skipped");
+    assert!(evaluated > 0 && skipped > 0, "{evaluated} / {skipped}");
+    let pct = 100.0 * evaluated as f64 / (evaluated + skipped) as f64;
+    let expected = format!("{evaluated} cone ops evaluated ({pct:.1}% ");
+    assert!(text.contains(&expected), "expected `{expected}` in {text}");
     assert!(
         get(&doc, &["hists"]).get("checkpoint.flush_us").is_some(),
         "missing checkpoint.flush_us histogram in {doc:?}"

@@ -37,18 +37,13 @@ pub struct CampaignConfig {
     /// golden state (sound, pure optimisation). Disable only for
     /// measurement ablations.
     pub early_exit: bool,
-    /// Evaluate only the injection point's fan-out cone per cycle,
-    /// serving boundary nets and out-of-cone watched outputs from golden
-    /// data (sound, pure optimisation — produces bit-identical traces
-    /// and tallies). Disable only for measurement ablations.
+    /// Evaluate only the injection point's fan-out cone, event-driven:
+    /// per cycle only the cone ops whose inputs differ from the golden
+    /// [`NetJournal`] run, and everything else is served from golden data
+    /// (sound, pure optimisation — produces bit-identical traces and
+    /// tallies). `false` selects the whole-circuit reference oracle; use
+    /// it only for equivalence checks and measurement ablations.
     pub cone: bool,
-    /// Event-driven evaluation inside the cone: per cycle, evaluate only
-    /// the ops whose inputs currently differ from the golden
-    /// [`NetJournal`] values and pull everything else from the journal by
-    /// construction (sound, pure optimisation — produces bit-identical
-    /// traces and tallies). Requires `cone`; disable only for
-    /// measurement ablations.
-    pub frontier: bool,
 }
 
 impl CampaignConfig {
@@ -61,7 +56,6 @@ impl CampaignConfig {
             seed: 0,
             early_exit: true,
             cone: true,
-            frontier: true,
         }
     }
 
@@ -77,15 +71,11 @@ impl CampaignConfig {
         self
     }
 
-    /// Builder-style override of cone restriction (ablations only).
+    /// Builder-style override of cone restriction: `false` selects the
+    /// whole-circuit reference oracle (equivalence checks and ablations
+    /// only).
     pub fn with_cone(mut self, cone: bool) -> CampaignConfig {
         self.cone = cone;
-        self
-    }
-
-    /// Builder-style override of frontier evaluation (ablations only).
-    pub fn with_frontier(mut self, frontier: bool) -> CampaignConfig {
-        self.frontier = frontier;
         self
     }
 }
@@ -98,6 +88,49 @@ enum CompiledPoint {
     Seu(FfId),
     Set(FaultSite),
 }
+
+/// Fill the per-batch injection schedule: lane times sorted once, lanes
+/// sharing a cycle merged into one `(cycle, lane mask)` entry, so the
+/// batch loop never rescans every lane's time per cycle.
+fn fill_schedule(schedule: &mut Vec<(u64, u64)>, times: &[u64]) {
+    schedule.clear();
+    for (lane, &t) in times.iter().enumerate() {
+        schedule.push((t, 1u64 << lane));
+    }
+    schedule.sort_unstable_by_key(|&(t, _)| t);
+    let mut merged = 0usize;
+    for i in 1..schedule.len() {
+        if schedule[i].0 == schedule[merged].0 {
+            let mask = schedule[i].1;
+            schedule[merged].1 |= mask;
+        } else {
+            merged += 1;
+            schedule[merged] = schedule[i];
+        }
+    }
+    schedule.truncate(merged + 1);
+}
+
+/// How the batch loop evaluates one cycle. The cone modes carry the
+/// golden [`NetJournal`] they read boundary and clean-net values from.
+#[derive(Clone, Copy)]
+enum Eval<'j> {
+    /// Event-driven: evaluate only the cone ops whose inputs differ from
+    /// golden; fast-forward over quiescent spans.
+    Frontier(&'j NetJournal),
+    /// Every cone op every cycle, adopted while the frontier is wide;
+    /// drops back to [`Eval::Frontier`] when the state re-quiesces.
+    Dense(&'j NetJournal),
+    /// Whole-circuit reference oracle (`CampaignConfig::cone == false`):
+    /// replays the stimulus, never changes mode, never fast-forwards.
+    Full,
+}
+
+/// The hybrid adopts [`Eval::Dense`] once one cycle's frontier evaluates
+/// at least `1 / DENSE_ADOPTION_DIVISOR` of the cone's ops: a worklist op
+/// costs a few times a dense cone op (measured breakeven ~1/4 of the cone
+/// on mac-small).
+const DENSE_ADOPTION_DIVISOR: usize = 4;
 
 /// One injection point compiled for repeated batch simulation: the
 /// resolved [`InjectionPoint`], its fan-out [`Cone`] and the per-watch
@@ -114,6 +147,8 @@ pub struct PointRunner {
     frontier_ops_evaluated: u64,
     frontier_cycles: u64,
     frontier_peak: u32,
+    /// Cycles evaluated in [`Eval::Dense`] mode across every batch.
+    dense_cycles: u64,
 }
 
 impl PointRunner {
@@ -144,8 +179,9 @@ impl PointRunner {
         self.frontier_ops_evaluated
     }
 
-    /// Cone-op evaluations the frontier skipped relative to the static
-    /// cone path (which evaluates every cone op every simulated cycle).
+    /// Cone-op evaluations skipped relative to evaluating every cone op
+    /// on every simulated cycle (fast-forwarded spans count as
+    /// simulated).
     pub fn frontier_ops_skipped(&self) -> u64 {
         (self.frontier_cycles * self.cone.num_ops() as u64)
             .saturating_sub(self.frontier_ops_evaluated)
@@ -353,6 +389,7 @@ where
             frontier_ops_evaluated: 0,
             frontier_cycles: 0,
             frontier_peak: 0,
+            dense_cycles: 0,
         }
     }
 
@@ -404,14 +441,15 @@ where
     /// which the state provably equals golden again (`None` if it never
     /// re-converged).
     ///
-    /// With `config.cone` set (the default) only the point's fan-out cone
-    /// is evaluated: boundary nets are broadcast per cycle from the
-    /// golden [`NetJournal`] (which also supplies the primary inputs, so
-    /// the stimulus is not replayed at all), only cone flip-flops tick,
-    /// convergence diffs are cone-scoped, and watched outputs outside the
-    /// cone are copied from the golden trace. The resulting trace and
-    /// convergence data are bit-identical to the full evaluation —
-    /// non-cone state provably cannot deviate from golden.
+    /// One loop serves every evaluation mode ([`Eval`]). With
+    /// `config.cone` set (the default) only the point's fan-out cone is
+    /// evaluated, event-driven: boundary nets come from the golden
+    /// [`NetJournal`] (which also supplies the primary inputs, so the
+    /// stimulus is not replayed at all), only cone flip-flops tick and
+    /// watched outputs outside the cone stay golden. The resulting trace
+    /// and convergence data are bit-identical to the whole-circuit
+    /// [`Eval::Full`] oracle — non-cone state provably cannot deviate
+    /// from golden.
     fn simulate_batch_into(
         &self,
         runner: &mut PointRunner,
@@ -424,12 +462,6 @@ where
         let t0 = *times.iter().min().expect("non-empty batch");
         debug_assert!(t0 < end, "injection beyond testbench end");
 
-        let journal = if config.cone {
-            Some(self.net_journal())
-        } else {
-            None
-        };
-
         let PointScratch {
             state,
             frame,
@@ -438,427 +470,201 @@ where
             schedule,
             frontier,
         } = scratch;
+        let cone = &runner.cone;
         converged_at.clear();
         converged_at.resize(times.len(), None);
 
-        // Injection schedule: sort the lane times once and merge lanes
-        // sharing a cycle, instead of rescanning all lane times every
-        // cycle of the loop.
-        schedule.clear();
-        for (lane, &t) in times.iter().enumerate() {
-            schedule.push((t, 1u64 << lane));
-        }
-        schedule.sort_unstable_by_key(|&(t, _)| t);
-        let mut merged = 0usize;
-        for i in 1..schedule.len() {
-            if schedule[i].0 == schedule[merged].0 {
-                let mask = schedule[i].1;
-                schedule[merged].1 |= mask;
-            } else {
-                merged += 1;
-                schedule[merged] = schedule[i];
-            }
-        }
-        schedule.truncate(merged + 1);
-
-        let active: u64 = if times.len() == 64 {
-            !0
-        } else {
-            (1u64 << times.len()) - 1
-        };
+        fill_schedule(schedule, times);
+        let active = u64::MAX >> (64 - times.len());
         let mut pending = active; // lanes whose fault has not happened yet
         let mut converged = 0u64; // lanes whose state returned to golden
         let mut next_fault = 0usize;
 
-        if let Some(journal) = journal {
-            if config.frontier {
-                // Event-driven frontier path: nothing is loaded up front —
-                // before the first injection every cone net is clean
-                // (golden by construction), so the whole pre-injection
-                // prefix and every masked-out region of the cone cost
-                // zero op evaluations. Dirty nets hold live values; clean
-                // nets are lazily refreshed from the journal row.
-                let cone = &runner.cone;
-                frontier.attach(cone);
-                // Seed the faulty trace with the golden trace in one bulk
-                // copy: only rows where a watched output actually
-                // deviates are overwritten below, and fast-forwarded
-                // spans need no per-cycle trace writes at all.
-                trace.reset_from(&self.golden.trace, t0);
-                state.set_cycle(t0);
-                let mut cycle = t0;
-                // Hybrid escape hatch: a worklist op costs a few times a
-                // dense cone op (measured breakeven ~1/4 of the cone on
-                // mac-small), so once the live frontier covers ~1/4 of
-                // the cone the event-driven loop is a net loss. `dense`
-                // switches to the static cone loop for such spans and
-                // drops back to the frontier when the state re-quiesces.
-                let mut dense = false;
-                let mut dense_cycles: u64 = 0;
-                while cycle < end {
-                    if dense {
-                        dense_cycles += 1;
-                        state.load_boundary(cone, journal.row(cycle));
-
-                        let mut fault_mask = 0u64;
-                        while next_fault < schedule.len() && schedule[next_fault].0 == cycle {
-                            fault_mask |= schedule[next_fault].1;
-                            next_fault += 1;
-                        }
-                        if fault_mask != 0 {
-                            pending &= !fault_mask;
-                            converged &= !fault_mask;
-                        }
-                        match runner.point {
-                            CompiledPoint::Seu(ff) => {
-                                if fault_mask != 0 {
-                                    state.flip_ff(self.cc, ff, fault_mask);
-                                }
-                                state.eval_cone(cone);
-                            }
-                            CompiledPoint::Set(_) => {
-                                if fault_mask != 0 {
-                                    state.eval_forced_cone(cone, fault_mask);
-                                } else {
-                                    state.eval_cone(cone);
-                                }
-                            }
-                        }
-                        // Only in-cone outputs can deviate; out-of-cone
-                        // rows are already golden from the bulk seed.
-                        let trace_row = trace.row_mut(cycle);
-                        for (w, (&po, &in_cone)) in self
-                            .watch
-                            .indices()
-                            .iter()
-                            .zip(&runner.watch_in_cone)
-                            .enumerate()
-                        {
-                            if in_cone {
-                                trace_row[w] = state.output_word(self.cc, po);
-                            }
-                        }
-                        state.tick_cone(cone);
-
-                        let next = cycle + 1;
-                        // Unlike the pure cone path this diffs every
-                        // cycle, not only once `pending == 0`: quiescence
-                        // (`diff == 0`) is also the signal to drop back
-                        // to the frontier representation.
-                        let diff = if next < end {
-                            state.diff_lanes_cone(cone, self.golden.journal.state_at(next))
-                        } else {
-                            0
-                        };
-                        if config.early_exit && pending == 0 && next < end {
-                            let newly = active & !diff & !converged;
-                            if newly != 0 {
-                                for (lane, at) in converged_at.iter_mut().enumerate() {
-                                    if newly & (1u64 << lane) != 0 {
-                                        *at = Some(next);
-                                    }
-                                }
-                                converged |= newly;
-                            }
-                            if converged == active {
-                                runner.cycles_saved += end - next;
-                                runner.frontier_cycles += next - t0;
-                                runner.frontier_ops_evaluated +=
-                                    frontier.ops_evaluated() + dense_cycles * cone.num_ops() as u64;
-                                runner.frontier_peak = runner
-                                    .frontier_peak
-                                    .max(frontier.peak())
-                                    .max(cone.num_ops() as u32);
-                                return;
-                            }
-                        }
-                        cycle = next;
-                        if diff == 0 && cycle < end {
-                            // Every lane equals golden again: all cone
-                            // nets clean is exactly the frontier
-                            // invariant (stored values go stale, reads
-                            // lazily refresh), so switching back costs
-                            // only clearing the scratch. Then fast-forward
-                            // to the next scheduled injection like the
-                            // frontier path below.
-                            frontier.quiesce();
-                            dense = false;
-                            cycle = if pending != 0 {
-                                schedule[next_fault].0
-                            } else if !config.early_exit {
-                                end
-                            } else {
-                                cycle
-                            };
-                            state.set_cycle(cycle);
-                        }
-                        continue;
-                    }
-                    let row = journal.row(cycle);
-
-                    let mut fault_mask = 0u64;
-                    while next_fault < schedule.len() && schedule[next_fault].0 == cycle {
-                        fault_mask |= schedule[next_fault].1;
-                        next_fault += 1;
-                    }
-                    if fault_mask != 0 {
-                        pending &= !fault_mask;
-                        converged &= !fault_mask;
-                    }
-                    match runner.point {
-                        CompiledPoint::Seu(_) => {
-                            if fault_mask != 0 {
-                                state.flip_frontier(cone, frontier, row, fault_mask);
-                            }
-                            state.eval_frontier(cone, frontier, row);
-                        }
-                        CompiledPoint::Set(_) => {
-                            if fault_mask != 0 {
-                                state.eval_forced_frontier(cone, frontier, row, fault_mask);
-                            } else {
-                                state.eval_frontier(cone, frontier, row);
-                            }
-                        }
-                    }
-                    // Record watched outputs: only nets on the live
-                    // frontier can deviate; everything else — out-of-cone
-                    // or in-cone-but-clean — is already golden in the
-                    // trace from the bulk seed.
-                    if frontier.any_dirty() {
-                        let trace_row = trace.row_mut(cycle);
-                        for (w, (&po, &in_cone)) in self
-                            .watch
-                            .indices()
-                            .iter()
-                            .zip(&runner.watch_in_cone)
-                            .enumerate()
-                        {
-                            if in_cone && frontier.net_dirty(self.cc.output_net(po)) {
-                                trace_row[w] = state.output_word(self.cc, po);
-                            }
-                        }
-                    }
-
-                    let next = cycle + 1;
-                    let diff = state.tick_frontier(
-                        cone,
-                        frontier,
-                        // Q nets in the journal's row `next` hold the
-                        // golden state *entering* cycle `next` — exactly
-                        // the post-tick comparison baseline.
-                        if next < end {
-                            Some(journal.row(next))
-                        } else {
-                            None
-                        },
-                    );
-
-                    // Lane convergence falls out of the latch loop for
-                    // free: `diff` is bit-identical to what
-                    // `diff_lanes_cone` would scan the whole cone for.
-                    if config.early_exit && pending == 0 && next < end {
-                        let newly = active & !diff & !converged;
-                        if newly != 0 {
-                            for (lane, at) in converged_at.iter_mut().enumerate() {
-                                if newly & (1u64 << lane) != 0 {
-                                    *at = Some(next);
-                                }
-                            }
-                            converged |= newly;
-                        }
-                        if converged == active {
-                            runner.cycles_saved += end - next;
-                            runner.frontier_cycles += next - t0;
-                            runner.frontier_ops_evaluated +=
-                                frontier.ops_evaluated() + dense_cycles * cone.num_ops() as u64;
-                            runner.frontier_peak = runner.frontier_peak.max(frontier.peak());
-                            if dense_cycles > 0 {
-                                runner.frontier_peak =
-                                    runner.frontier_peak.max(cone.num_ops() as u32);
-                            }
-                            return;
-                        }
-                    }
-                    cycle = next;
-
-                    // Fast-forward over a quiescent frontier: `diff == 0`
-                    // means every latched flip-flop latched its golden
-                    // value, so no net is dirty and the state equals
-                    // golden in *every* lane — nothing can change before
-                    // the next scheduled injection. The faulty trace over
-                    // the skipped span is the golden trace by
-                    // construction, and no convergence bookkeeping is
-                    // skipped: `converged_at` recording is gated on
-                    // `pending == 0` in every evaluation path, and with
-                    // `pending == 0` we either broke out above
-                    // (early-exit) or run a no-early-exit ablation that
-                    // never records convergence.
-                    if diff == 0 && cycle < end {
-                        cycle = if pending != 0 {
-                            schedule[next_fault].0
-                        } else if !config.early_exit {
-                            end
-                        } else {
-                            cycle
-                        };
-                        state.set_cycle(cycle);
-                    } else if cycle < end
-                        && frontier.last_cycle_ops() as usize * 4 >= cone.num_ops()
-                    {
-                        // Persistent wide divergence: the live frontier
-                        // covers enough of the cone that dense evaluation
-                        // is cheaper. Refresh the touched-but-clean nets
-                        // from the golden row (dirty nets are already
-                        // live) — exactly the state the static cone loop
-                        // maintains — and take the dense branch above
-                        // until the fault damps out.
-                        state.adopt_frontier(cone, frontier, journal.row(cycle));
-                        frontier.quiesce();
-                        dense = true;
-                    }
-                }
-                runner.frontier_cycles += end - t0;
-                runner.frontier_ops_evaluated +=
-                    frontier.ops_evaluated() + dense_cycles * cone.num_ops() as u64;
-                runner.frontier_peak = runner.frontier_peak.max(frontier.peak());
-                if dense_cycles > 0 {
-                    runner.frontier_peak = runner.frontier_peak.max(cone.num_ops() as u32);
-                }
-                return;
-            }
-            let cone = &runner.cone;
-            trace.reset(t0, end, self.watch.len());
-            state.load_cone_state_broadcast(cone, self.golden.journal.state_at(t0));
-            state.set_cycle(t0);
-            for cycle in t0..end {
-                // Golden boundary values double as the stimulus: primary
-                // inputs the cone reads are boundary nets.
-                state.load_boundary(cone, journal.row(cycle));
-
-                let mut fault_mask = 0u64;
-                while next_fault < schedule.len() && schedule[next_fault].0 == cycle {
-                    fault_mask |= schedule[next_fault].1;
-                    next_fault += 1;
-                }
-                if fault_mask != 0 {
-                    pending &= !fault_mask;
-                    converged &= !fault_mask;
-                }
-                match runner.point {
-                    CompiledPoint::Seu(ff) => {
-                        if fault_mask != 0 {
-                            state.flip_ff(self.cc, ff, fault_mask);
-                        }
-                        state.eval_cone(cone);
-                    }
-                    CompiledPoint::Set(_) => {
-                        if fault_mask != 0 {
-                            state.eval_forced_cone(cone, fault_mask);
-                        } else {
-                            state.eval_cone(cone);
-                        }
-                    }
-                }
-                // Record watched outputs: in-cone from the state,
-                // out-of-cone are golden by construction.
-                let row = trace.row_mut(cycle);
-                let golden_row = self.golden.trace.row(cycle);
-                for (w, (&po, &in_cone)) in self
-                    .watch
-                    .indices()
-                    .iter()
-                    .zip(&runner.watch_in_cone)
-                    .enumerate()
-                {
-                    row[w] = if in_cone {
-                        state.output_word(self.cc, po)
-                    } else {
-                        golden_row[w]
-                    };
-                }
-                state.tick_cone(cone);
-
-                if config.early_exit && pending == 0 {
-                    let next = cycle + 1;
-                    if next < end {
-                        let diff = state.diff_lanes_cone(cone, self.golden.journal.state_at(next));
-                        let newly = active & !diff & !converged;
-                        if newly != 0 {
-                            for (lane, at) in converged_at.iter_mut().enumerate() {
-                                if newly & (1u64 << lane) != 0 {
-                                    *at = Some(next);
-                                }
-                            }
-                            converged |= newly;
-                        }
-                        if converged == active {
-                            runner.cycles_saved += end - next;
-                            break;
-                        }
-                    }
-                }
-            }
+        // Seed the faulty trace with the golden trace in one bulk copy:
+        // the cone modes overwrite only rows where a watched output can
+        // deviate, and fast-forwarded spans need no trace writes at all.
+        trace.reset_from(&self.golden.trace, t0);
+        let mut mode = if config.cone {
+            // Nothing is loaded up front: before the first injection
+            // every cone net is clean (golden by construction), so the
+            // pre-injection prefix costs zero op evaluations.
+            frontier.attach(cone);
+            Eval::Frontier(self.net_journal())
         } else {
-            // Full-circuit ablation path: reset clears residue a forced
-            // source net may have left in the reused state.
-            trace.reset(t0, end, self.watch.len());
+            // Reset clears residue a forced source net may have left in
+            // the reused state.
             state.reset(self.cc);
             state.load_ff_state_broadcast(self.cc, self.golden.journal.state_at(t0));
-            state.set_cycle(t0);
-            for cycle in t0..end {
-                frame.clear();
-                self.stimulus.drive(cycle, frame);
-                frame.apply(self.cc, state);
+            Eval::Full
+        };
+        state.set_cycle(t0);
+        let mut dense_cycles: u64 = 0;
+        let mut cycle = t0;
+        while cycle < end {
+            let mut fault_mask = 0u64;
+            while next_fault < schedule.len() && schedule[next_fault].0 == cycle {
+                fault_mask |= schedule[next_fault].1;
+                next_fault += 1;
+            }
+            pending &= !fault_mask;
+            converged &= !fault_mask;
+            let next = cycle + 1;
+            // Convergence is recorded once every lane's fault happened.
+            let record = config.early_exit && pending == 0 && next < end;
 
-                let mut fault_mask = 0u64;
-                while next_fault < schedule.len() && schedule[next_fault].0 == cycle {
-                    fault_mask |= schedule[next_fault].1;
-                    next_fault += 1;
-                }
-                if fault_mask != 0 {
-                    pending &= !fault_mask;
-                    converged &= !fault_mask;
-                }
-                match runner.point {
-                    // SEU: flip the state the cycle starts with, before
-                    // combinational evaluation.
-                    CompiledPoint::Seu(ff) => {
-                        if fault_mask != 0 {
-                            state.flip_ff(self.cc, ff, fault_mask);
+            // Inject (SEU: flip the state entering the cycle; SET: XOR-force
+            // the net for this evaluation), evaluate, record, tick, and
+            // return the lanes differing from golden entering `next`.
+            let diff = match mode {
+                Eval::Frontier(journal) => {
+                    let row = journal.row(cycle);
+                    match runner.point {
+                        CompiledPoint::Seu(_) if fault_mask != 0 => {
+                            state.flip_frontier(cone, frontier, row, fault_mask);
+                            state.eval_frontier(cone, frontier, row);
                         }
-                        state.eval(self.cc);
+                        CompiledPoint::Set(_) if fault_mask != 0 => {
+                            state.eval_forced_frontier(cone, frontier, row, fault_mask);
+                        }
+                        _ => state.eval_frontier(cone, frontier, row),
                     }
-                    // SET: XOR-force the net for exactly this evaluation.
-                    CompiledPoint::Set(site) => {
-                        if fault_mask != 0 {
-                            state.eval_forced_site(self.cc, site, fault_mask);
-                        } else {
+                    // Only nets on the live frontier can deviate.
+                    if frontier.any_dirty() {
+                        self.record_in_cone(runner, trace, state, cycle, |net| {
+                            frontier.net_dirty(net)
+                        });
+                    }
+                    // Row `next`'s Q nets hold the golden state entering
+                    // `next`; the diff falls out of the latch loop.
+                    state.tick_frontier(cone, frontier, (next < end).then(|| journal.row(next)))
+                }
+                Eval::Dense(journal) => {
+                    dense_cycles += 1;
+                    state.load_boundary(cone, journal.row(cycle));
+                    match runner.point {
+                        CompiledPoint::Seu(ff) if fault_mask != 0 => {
+                            state.flip_ff(self.cc, ff, fault_mask);
+                            state.eval_cone(cone);
+                        }
+                        CompiledPoint::Set(_) if fault_mask != 0 => {
+                            state.eval_forced_cone(cone, fault_mask);
+                        }
+                        _ => state.eval_cone(cone),
+                    }
+                    self.record_in_cone(runner, trace, state, cycle, |_| true);
+                    state.tick_cone(cone);
+                    // Diffed every cycle: quiescence also ends dense mode.
+                    if next < end {
+                        state.diff_lanes_cone(cone, self.golden.journal.state_at(next))
+                    } else {
+                        0
+                    }
+                }
+                Eval::Full => {
+                    frame.clear();
+                    self.stimulus.drive(cycle, frame);
+                    frame.apply(self.cc, state);
+                    match runner.point {
+                        CompiledPoint::Seu(ff) if fault_mask != 0 => {
+                            state.flip_ff(self.cc, ff, fault_mask);
                             state.eval(self.cc);
                         }
+                        CompiledPoint::Set(site) if fault_mask != 0 => {
+                            state.eval_forced_site(self.cc, site, fault_mask);
+                        }
+                        _ => state.eval(self.cc),
+                    }
+                    trace.record(self.cc, self.watch, state);
+                    state.tick(self.cc);
+                    // The oracle never fast-forwards: diff only to record.
+                    if record {
+                        state.diff_lanes(self.cc, self.golden.journal.state_at(next))
+                    } else {
+                        0
                     }
                 }
-                trace.record(self.cc, self.watch, state);
-                state.tick(self.cc);
+            };
 
-                if config.early_exit && pending == 0 {
-                    let next = cycle + 1;
-                    if next < end {
-                        let diff = state.diff_lanes(self.cc, self.golden.journal.state_at(next));
-                        let newly = active & !diff & !converged;
-                        if newly != 0 {
-                            for (lane, at) in converged_at.iter_mut().enumerate() {
-                                if newly & (1u64 << lane) != 0 {
-                                    *at = Some(next);
-                                }
-                            }
-                            converged |= newly;
-                        }
-                        if converged == active {
-                            runner.cycles_saved += end - next;
-                            break;
+            cycle = next;
+            if record {
+                let newly = active & !diff & !converged;
+                if newly != 0 {
+                    for (lane, at) in converged_at.iter_mut().enumerate() {
+                        if newly & (1u64 << lane) != 0 {
+                            *at = Some(next);
                         }
                     }
+                    converged |= newly;
                 }
+                if converged == active {
+                    break;
+                }
+            }
+            let journal = match mode {
+                Eval::Frontier(journal) | Eval::Dense(journal) if cycle < end => journal,
+                _ => continue,
+            };
+            if diff == 0 {
+                // Every lane equals golden again: all cone nets clean is
+                // the frontier invariant, so leaving dense mode only clears
+                // the scratch. Nothing changes before the next injection:
+                // fast-forward (the skipped trace is golden, and with
+                // `pending == 0` we broke out above or never record).
+                frontier.quiesce();
+                mode = Eval::Frontier(journal);
+                cycle = if pending != 0 {
+                    schedule[next_fault].0
+                } else if !config.early_exit {
+                    end
+                } else {
+                    cycle
+                };
+                state.set_cycle(cycle);
+            } else if matches!(mode, Eval::Frontier(_))
+                && frontier.last_cycle_ops() as usize * DENSE_ADOPTION_DIVISOR >= cone.num_ops()
+            {
+                // Wide divergence: refresh touched-but-clean nets from
+                // golden and evaluate the whole cone until it damps out.
+                state.adopt_frontier(cone, frontier, journal.row(cycle));
+                frontier.quiesce();
+                mode = Eval::Dense(journal);
+            }
+        }
+
+        runner.cycles_saved += end - cycle;
+        runner.dense_cycles += dense_cycles;
+        if config.cone {
+            runner.frontier_cycles += cycle - t0;
+            runner.frontier_ops_evaluated +=
+                frontier.ops_evaluated() + dense_cycles * cone.num_ops() as u64;
+            runner.frontier_peak = runner.frontier_peak.max(frontier.peak());
+            if dense_cycles > 0 {
+                runner.frontier_peak = runner.frontier_peak.max(cone.num_ops() as u32);
+            }
+        }
+    }
+
+    /// Write the current value of every in-cone watched output for which
+    /// `live(net)` holds into the faulty trace row of `cycle`; every other
+    /// entry keeps its golden seed.
+    fn record_in_cone(
+        &self,
+        runner: &PointRunner,
+        trace: &mut OutputTrace,
+        state: &SimState,
+        cycle: u64,
+        live: impl Fn(NetId) -> bool,
+    ) {
+        let row = trace.row_mut(cycle);
+        for (w, (&po, &in_cone)) in self
+            .watch
+            .indices()
+            .iter()
+            .zip(&runner.watch_in_cone)
+            .enumerate()
+        {
+            if in_cone && live(self.cc.output_net(po)) {
+                row[w] = state.output_word(self.cc, po);
             }
         }
     }
@@ -1060,5 +866,82 @@ mod tests {
         for (ff, _) in cc.netlist().ffs() {
             assert_eq!(t1.fdr(ff), t2.fdr(ff));
         }
+    }
+
+    /// Feedback adder, cross-register XOR and parity: wide enough
+    /// divergence that the hybrid adopts dense cone evaluation.
+    fn feedback_circuit(width: usize) -> CompiledCircuit {
+        let mut b = NetlistBuilder::new("feedback");
+        let a = b.input("a", width);
+        let en = b.input("en", 1);
+        let r1 = b.reg("r1", width);
+        let (sum, carry) = b.add(&r1.q(), &a);
+        b.connect_en(&r1, &en, &sum).unwrap();
+        let r2 = b.reg("r2", width);
+        let x = b.xor(&r1.q(), &a);
+        b.connect(&r2, &x).unwrap();
+        let red = b.reduce_xor(&r2.q());
+        b.output("sum", &r1.q());
+        b.output("parity", &red);
+        b.output("carry", &ffr_netlist::Bus::single(carry.net(0)));
+        CompiledCircuit::compile(b.finish().unwrap()).unwrap()
+    }
+
+    /// Deterministic broadcast stimulus: a pure function of the cycle.
+    struct MixStimulus {
+        width: usize,
+        cycles: u64,
+    }
+
+    impl Stimulus for MixStimulus {
+        fn num_cycles(&self) -> u64 {
+            self.cycles
+        }
+
+        fn drive(&self, cycle: u64, frame: &mut InputFrame) {
+            let mut x = cycle
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x ^= x >> 29;
+            for bit in 0..self.width {
+                frame.set(bit, (x >> bit) & 1 == 1);
+            }
+            frame.set(self.width, (x >> 21) & 1 == 1);
+        }
+    }
+
+    #[test]
+    fn hybrid_adopts_dense_mode_and_matches_full_oracle() {
+        let cc = feedback_circuit(4);
+        let stim = MixStimulus {
+            width: 4,
+            cycles: 96,
+        };
+        let watch = WatchList::all(&cc);
+        let judge = OutputMismatchJudge::new();
+        let campaign = Campaign::new(&cc, &stim, &watch, &judge);
+        let mut scratch = campaign.point_scratch();
+        let mut dense_cycles = 0;
+        for early_exit in [true, false] {
+            let mut config = CampaignConfig::new(8..88).with_injections(48).with_seed(19);
+            config.early_exit = early_exit;
+            for (ff, _) in cc.netlist().ffs() {
+                let point = InjectionPoint::Seu(ff);
+                let times = sample_injection_times(
+                    config.seed,
+                    point.stream(),
+                    config.window.clone(),
+                    config.injections_per_ff,
+                );
+                let mut runner = campaign.point_runner(point);
+                let hybrid =
+                    campaign.run_point_times_with(&mut runner, &mut scratch, &times, &config);
+                let full =
+                    campaign.run_point_times(point, &times, &config.clone().with_cone(false));
+                assert_eq!(hybrid, full, "{point:?} (early_exit={early_exit})");
+                dense_cycles += runner.dense_cycles;
+            }
+        }
+        assert!(dense_cycles > 0, "the fixture never entered dense mode");
     }
 }

@@ -1,11 +1,12 @@
-//! Property tests: cone-restricted and frontier campaign simulation
-//! classify every injection exactly like full-circuit simulation.
+//! Property tests: the default event-driven cone simulation (frontier
+//! with dense adoption) classifies every injection exactly like the
+//! full-circuit reference oracle.
 //!
-//! The cone and frontier paths must be *optimisations*, not
-//! approximations — for both fault models, any injection target and any
-//! batch of injection times, the per-class tallies (and therefore every
-//! FDR and SET derating table built from them) must match the full
-//! evaluation bit for bit across all three evaluation paths.
+//! The cone path must be an *optimisation*, not an approximation — for
+//! both fault models, any injection target and any batch of injection
+//! times, the per-class tallies (and therefore every FDR and SET
+//! derating table built from them) must match the full evaluation bit
+//! for bit.
 
 use ffr_circuits::corpus::CorpusSpec;
 use ffr_fault::{Campaign, CampaignConfig, FailureClass, InjectionPoint, OutputMismatchJudge};
@@ -94,9 +95,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// `run_point_times` with the default frontier path tallies every
-    /// failure class identically to both ablation paths (static cone and
-    /// full circuit), for both fault models and arbitrary batches of
-    /// injection times.
+    /// failure class identically to the full-circuit oracle, for both
+    /// fault models and arbitrary batches of injection times.
     #[test]
     fn cone_tallies_equal_full_tallies(
         width in 2usize..6,
@@ -121,10 +121,8 @@ proptest! {
 
         let base = CampaignConfig::new(0..cycles);
         let frontier = campaign.run_point_times(point, &times, &base.clone());
-        let cone = campaign.run_point_times(point, &times, &base.clone().with_frontier(false));
         let full = campaign.run_point_times(point, &times, &base.with_cone(false));
-        prop_assert_eq!(frontier, cone);
-        prop_assert_eq!(cone, full);
+        prop_assert_eq!(frontier, full);
         prop_assert_eq!(
             full.iter().sum::<usize>(),
             times.len(),
@@ -132,11 +130,11 @@ proptest! {
         );
     }
 
-    /// Corpus-wide conformance: the same three-way tally identity holds
+    /// Corpus-wide conformance: the same tally identity holds
     /// over *arbitrary generated corpus circuits* — `CorpusSpec::sampled`
     /// maps free integers onto every generator family (counters, LFSR
     /// pipelines, ALUs, FIFOs, CRCs, register files, seeded mixes), so
-    /// the frontier and cone paths are proven against structures no
+    /// the frontier path is proven against structures no
     /// hand-written testbench enumerates.
     #[test]
     fn corpus_tallies_equal_full_tallies(
@@ -166,17 +164,15 @@ proptest! {
 
         let base = CampaignConfig::new(0..cycles);
         let frontier = campaign.run_point_times(point, &times, &base.clone());
-        let cone = campaign.run_point_times(point, &times, &base.clone().with_frontier(false));
         let full = campaign.run_point_times(point, &times, &base.with_cone(false));
-        prop_assert_eq!(frontier, cone, "frontier/cone tallies for {}", spec.id());
-        prop_assert_eq!(cone, full, "cone/full tallies for {}", spec.id());
+        prop_assert_eq!(frontier, full, "frontier/full tallies for {}", spec.id());
     }
 }
 
 /// Whole-table equivalence: an SEU campaign over every flip-flop produces
-/// the same FDR table on the frontier, static-cone and full-circuit paths
-/// — including with early exit disabled, which forces full-window
-/// simulation everywhere.
+/// the same FDR table on the frontier and full-circuit paths — including
+/// with early exit disabled, which forces full-window simulation
+/// everywhere.
 #[test]
 fn fdr_tables_identical_across_eval_paths() {
     let cc = circuit(4);
@@ -192,19 +188,12 @@ fn fdr_tables_identical_across_eval_paths() {
         let mut base = CampaignConfig::new(8..88).with_injections(48).with_seed(19);
         base.early_exit = early_exit;
         let frontier = campaign.run(&base.clone());
-        let cone = campaign.run(&base.clone().with_frontier(false));
         let full = campaign.run(&base.clone().with_cone(false));
         for (ff, _) in cc.netlist().ffs() {
             assert_eq!(
                 frontier.fdr(ff),
-                cone.fdr(ff),
-                "frontier/cone FDR mismatch for {} (early_exit={early_exit})",
-                cc.netlist().ff_name(ff)
-            );
-            assert_eq!(
-                cone.fdr(ff),
                 full.fdr(ff),
-                "cone/full FDR mismatch for {} (early_exit={early_exit})",
+                "frontier/full FDR mismatch for {} (early_exit={early_exit})",
                 cc.netlist().ff_name(ff)
             );
         }
@@ -213,7 +202,7 @@ fn fdr_tables_identical_across_eval_paths() {
 
 /// Whole-table equivalence for the SET fault model: a derating campaign
 /// over every interesting net (gate outputs, Q nets, source inputs)
-/// produces the same table on all three evaluation paths.
+/// produces the same table on the frontier and full-circuit paths.
 #[test]
 fn set_tables_identical_across_eval_paths() {
     let cc = circuit(3);
@@ -228,18 +217,12 @@ fn set_tables_identical_across_eval_paths() {
 
     let base = CampaignConfig::new(4..68).with_injections(32).with_seed(23);
     let frontier = campaign.run_set_parallel(&nets, &base.clone(), |_, _| {});
-    let cone = campaign.run_set_parallel(&nets, &base.clone().with_frontier(false), |_, _| {});
     let full = campaign.run_set_parallel(&nets, &base.with_cone(false), |_, _| {});
     for &net in &nets {
         assert_eq!(
             frontier.derating(net),
-            cone.derating(net),
-            "frontier/cone SET derating mismatch for net {net}"
-        );
-        assert_eq!(
-            cone.derating(net),
             full.derating(net),
-            "cone/full SET derating mismatch for net {net}"
+            "frontier/full SET derating mismatch for net {net}"
         );
     }
 }
@@ -262,11 +245,11 @@ fn scratch_reuse_leaves_no_residue() {
 
     let times: Vec<u64> = (0..64).map(|i| (i * 7) % 64).collect();
     let mut scratch = campaign.point_scratch();
-    // (cone, frontier) covers all three evaluation paths; interleaving
-    // them through the same scratch also proves the frontier worklist is
-    // fully drained/re-attached between batches of different paths.
-    for (cone, frontier) in [(true, true), (true, false), (false, false)] {
-        let config = config.clone().with_cone(cone).with_frontier(frontier);
+    // Interleaving the frontier path and the full-circuit oracle through
+    // the same scratch also proves the frontier worklist is fully
+    // drained/re-attached between batches of different paths.
+    for cone in [true, false] {
+        let config = config.clone().with_cone(cone);
         for point in set_targets(&cc)
             .into_iter()
             .map(InjectionPoint::Set)

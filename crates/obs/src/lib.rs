@@ -306,9 +306,10 @@ pub fn bucket_of(value_us: u64) -> usize {
     (64 - value_us.leading_zeros() as usize).saturating_sub(1)
 }
 
-/// Upper bound (µs) of bucket `i` — the value reported for percentiles.
+/// Largest value (µs) bucket `i` can hold: bucket `i` is
+/// `[2^i, 2^(i+1))` (bucket 0 also holds 0), so this is `2^(i+1) - 1`.
 pub fn bucket_upper_us(i: usize) -> u64 {
-    1u64 << i.min(63)
+    u64::MAX >> (63 - i.min(63))
 }
 
 impl Histogram {
@@ -351,7 +352,8 @@ impl Histogram {
     }
 
     /// Upper bound (µs) of the bucket holding the `q`-quantile
-    /// observation (`q` in `[0, 1]`), or 0 when empty.
+    /// observation (`q` in `[0, 1]`), clamped to the largest observation;
+    /// 0 when empty.
     pub fn quantile_us(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -361,7 +363,7 @@ impl Histogram {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return bucket_upper_us(i);
+                return bucket_upper_us(i).min(self.max);
             }
         }
         self.max
@@ -736,7 +738,12 @@ mod tests {
         assert_eq!(bucket_of(3), 1);
         assert_eq!(bucket_of(4), 2);
         assert_eq!(bucket_upper_us(0), 1);
-        assert_eq!(bucket_upper_us(10), 1024);
+        assert_eq!(bucket_upper_us(1), 3);
+        assert_eq!(bucket_upper_us(10), 2047);
+        assert_eq!(bucket_upper_us(63), u64::MAX);
+        for v in [0, 1, 2, 3, 1023, 1024, 2047, u64::MAX] {
+            assert!(v <= bucket_upper_us(bucket_of(v)), "{v} above its bucket");
+        }
 
         let mut a = Histogram::default();
         let mut b = Histogram::default();
@@ -751,8 +758,9 @@ mod tests {
         assert_eq!(a.sum_us(), 3060);
         assert_eq!(a.max_us(), 2000);
         assert_eq!(a.mean_us(), 612);
-        assert!(a.quantile_us(0.5) <= 32);
-        assert!(a.quantile_us(0.95) >= 1024);
+        assert!(a.quantile_us(0.5) >= 30 && a.quantile_us(0.5) <= 32);
+        let p95 = a.quantile_us(0.95);
+        assert!(p95 >= 2000 && p95 <= a.max_us(), "p95 {p95}");
 
         let sparse = a.sparse_buckets();
         let back = Histogram::from_sparse(&sparse, a.sum_us(), a.max_us());
