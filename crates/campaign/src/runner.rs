@@ -388,6 +388,12 @@ where
                         options
                             .recorder
                             .count("frontier.peak", point_runner.frontier_peak() as u64);
+                        options
+                            .recorder
+                            .count("judge.calls", point_runner.judge_calls());
+                        options
+                            .recorder
+                            .count("judge.golden_lanes", point_runner.judge_golden_lanes());
                         record.complete =
                             policy.is_settled(record.failures(), record.injections_done);
 

@@ -529,6 +529,68 @@ mod tests {
         assert!(bits.iter().any(|&b| b) && bits.iter().any(|&b| !b));
     }
 
+    /// The `FailureJudge` contract the campaign's golden-lane prefilter
+    /// relies on: a lane whose watched outputs equal golden on every
+    /// cycle is Benign — for every judge, at any injection cycle, whatever
+    /// the batch's other lanes hold.
+    #[test]
+    fn every_judge_calls_a_golden_lane_benign() {
+        for name in ["counter", "mac-small"] {
+            let prepared = name.parse::<CircuitSpec>().unwrap().prepare(1, 200);
+            let golden = GoldenRun::capture(&prepared.cc, &prepared.stimulus, &prepared.watch);
+            let mut judges: Vec<(String, Box<dyn FailureJudge>)> = vec![(
+                format!("CliJudge for {name}"),
+                Box::new(prepared.judge_spec.build(&golden)),
+            )];
+            if let JudgeSpec::OutputMismatch = prepared.judge_spec {
+                for grace_cycles in [0, 7] {
+                    judges.push((
+                        format!("OutputMismatchJudge {{ grace_cycles: {grace_cycles} }}"),
+                        Box::new(OutputMismatchJudge { grace_cycles }),
+                    ));
+                }
+            }
+            let golden_view = LaneView::golden(&golden.trace);
+            let window = prepared.window.clone();
+            for inject in [
+                window.start,
+                (window.start + window.end) / 2,
+                window.end - 1,
+            ] {
+                for lane in [0, 37, 63] {
+                    // Every other lane holds the inverse of golden.
+                    let mut faulty = golden.trace.clone();
+                    faulty.reset_from(&golden.trace, inject);
+                    for cycle in inject..faulty.end() {
+                        for w in 0..faulty.width() {
+                            let g = 0u64.wrapping_sub(golden.trace.word(w, cycle) & 1);
+                            faulty.set_word(w, cycle, g ^ !(1u64 << lane));
+                        }
+                    }
+                    // The view reads its own lane: a neighbour deviates.
+                    let other = LaneView::faulty(&golden.trace, &faulty, (lane + 1) % 64, None);
+                    for (judge_name, judge) in &judges {
+                        assert_ne!(
+                            judge.classify(&golden_view, &other, inject),
+                            FailureClass::Benign,
+                            "{judge_name}: inject {inject}, lane {lane}'s neighbour"
+                        );
+                    }
+                    for golden_from in [None, Some(inject + 1)] {
+                        let view = LaneView::faulty(&golden.trace, &faulty, lane, golden_from);
+                        for (judge_name, judge) in &judges {
+                            assert_eq!(
+                                judge.classify(&golden_view, &view, inject),
+                                FailureClass::Benign,
+                                "{judge_name}: inject {inject}, lane {lane}, golden_from {golden_from:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn config_desc_distinguishes_stimulus_seeds() {
         let spec = CircuitSpec::Counter { width: 8 };

@@ -514,6 +514,22 @@ impl CampaignStats {
             );
         }
 
+        // Judge work: lanes that deviated reach the judge, the rest are
+        // tallied Benign by the campaign's golden-lane prefilter.
+        let calls = self.counters.get("judge.calls").copied().unwrap_or(0);
+        let golden = self
+            .counters
+            .get("judge.golden_lanes")
+            .copied()
+            .unwrap_or(0);
+        if calls + golden > 0 {
+            let _ = writeln!(
+                out,
+                "\njudge:\n  {calls} judge calls, {golden} lanes prefiltered as golden ({:.1}% of injections)",
+                100.0 * golden as f64 / (calls + golden) as f64,
+            );
+        }
+
         out.push_str("\ncounters (merged):\n");
         for (name, value) in &self.counters {
             let _ = writeln!(out, "  {name:<28} {value:>12}");

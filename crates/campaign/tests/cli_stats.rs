@@ -114,6 +114,14 @@ fn telemetry_stats_status_and_gc_flow() {
     let pct = 100.0 * evaluated as f64 / (evaluated + skipped) as f64;
     let expected = format!("{evaluated} cone ops evaluated ({pct:.1}% ");
     assert!(text.contains(&expected), "expected `{expected}` in {text}");
+    // Every injection is either judged or prefiltered as golden, and the
+    // text report's judge line prints both counters and the share.
+    let calls = counter("judge.calls");
+    let golden = counter("judge.golden_lanes");
+    assert_eq!(calls + golden, counter("injections"), "{doc:?}");
+    let pct = 100.0 * golden as f64 / (calls + golden) as f64;
+    let expected = format!("{calls} judge calls, {golden} lanes prefiltered as golden ({pct:.1}% ");
+    assert!(text.contains(&expected), "expected `{expected}` in {text}");
     assert!(
         get(&doc, &["hists"]).get("checkpoint.flush_us").is_some(),
         "missing checkpoint.flush_us histogram in {doc:?}"

@@ -111,6 +111,49 @@ fn fill_schedule(schedule: &mut Vec<(u64, u64)>, times: &[u64]) {
     schedule.truncate(merged + 1);
 }
 
+/// The lanes of a simulated batch (bit `i` = lane `i` of `converged_at`)
+/// whose watched outputs differ from golden on some cycle, read as
+/// [`LaneView::faulty`] serves them: golden before `faulty.start()` and
+/// from the lane's `converged_at` on. One bit-parallel pass per batch
+/// that stops once no lane is live (re-converged or already deviating).
+fn deviating_lanes(
+    golden: &OutputTrace,
+    faulty: &OutputTrace,
+    converged_at: &[Option<u64>],
+) -> u64 {
+    let mut live = u64::MAX >> (64 - converged_at.len());
+    let mut deviating = 0u64;
+    let mut next_converged = faulty.start();
+    for cycle in faulty.start()..faulty.end() {
+        if cycle == next_converged {
+            // Retire the lanes served golden from here on and note the
+            // next re-convergence among the rest.
+            next_converged = u64::MAX;
+            let mut lanes = live;
+            while lanes != 0 {
+                let lane = lanes.trailing_zeros() as usize;
+                lanes &= lanes - 1;
+                match converged_at[lane] {
+                    Some(at) if at <= cycle => live &= !(1u64 << lane),
+                    Some(at) => next_converged = next_converged.min(at),
+                    None => {}
+                }
+            }
+        }
+        if live == 0 {
+            break;
+        }
+        let diff = golden
+            .row(cycle)
+            .iter()
+            .zip(faulty.row(cycle))
+            .fold(0u64, |acc, (&g, &f)| acc | (f ^ 0u64.wrapping_sub(g & 1)));
+        deviating |= diff & live;
+        live &= !diff;
+    }
+    deviating
+}
+
 /// How the batch loop evaluates one cycle. The cone modes carry the
 /// golden [`NetJournal`] they read boundary and clean-net values from.
 #[derive(Clone, Copy)]
@@ -149,6 +192,8 @@ pub struct PointRunner {
     frontier_peak: u32,
     /// Cycles evaluated in [`Eval::Dense`] mode across every batch.
     dense_cycles: u64,
+    judge_calls: u64,
+    judge_golden_lanes: u64,
 }
 
 impl PointRunner {
@@ -191,6 +236,18 @@ impl PointRunner {
     /// cycle (worst-case divergence width).
     pub fn frontier_peak(&self) -> u32 {
         self.frontier_peak
+    }
+
+    /// Injections handed to the [`FailureJudge`]: the lanes whose watched
+    /// outputs deviated from golden.
+    pub fn judge_calls(&self) -> u64 {
+        self.judge_calls
+    }
+
+    /// Injections tallied `Benign` without a judge call because their
+    /// watched outputs never left golden.
+    pub fn judge_golden_lanes(&self) -> u64 {
+        self.judge_golden_lanes
     }
 }
 
@@ -390,6 +447,8 @@ where
             frontier_cycles: 0,
             frontier_peak: 0,
             dense_cycles: 0,
+            judge_calls: 0,
+            judge_golden_lanes: 0,
         }
     }
 
@@ -421,16 +480,26 @@ where
         let mut class_counts = [0usize; FailureClass::ALL.len()];
         for chunk in times.chunks(64) {
             self.simulate_batch_into(runner, scratch, chunk, config);
+            // Lanes whose watched outputs never leave golden are Benign by
+            // the `FailureJudge` contract: only the others reach the judge.
+            let mut deviating =
+                deviating_lanes(&self.golden.trace, &scratch.trace, &scratch.converged_at);
+            let golden_lanes = chunk.len() - deviating.count_ones() as usize;
+            class_counts[FailureClass::Benign.tally_index()] += golden_lanes;
+            runner.judge_golden_lanes += golden_lanes as u64;
             let golden_view = LaneView::golden(&self.golden.trace);
-            for (lane, &inject_cycle) in chunk.iter().enumerate() {
+            while deviating != 0 {
+                let lane = deviating.trailing_zeros() as usize;
+                deviating &= deviating - 1;
                 let view = LaneView::faulty(
                     &self.golden.trace,
                     &scratch.trace,
                     lane,
                     scratch.converged_at[lane],
                 );
-                let class = self.judge.classify(&golden_view, &view, inject_cycle);
+                let class = self.judge.classify(&golden_view, &view, chunk[lane]);
                 class_counts[class.tally_index()] += 1;
+                runner.judge_calls += 1;
             }
         }
         class_counts
@@ -943,5 +1012,149 @@ mod tests {
             }
         }
         assert!(dense_cycles > 0, "the fixture never entered dense mode");
+    }
+
+    /// Input-count-generic deterministic stimulus for corpus circuits:
+    /// every input bit is a hash of `(cycle, bit)`.
+    struct HashStimulus {
+        inputs: usize,
+        cycles: u64,
+    }
+
+    impl Stimulus for HashStimulus {
+        fn num_cycles(&self) -> u64 {
+            self.cycles
+        }
+
+        fn drive(&self, cycle: u64, frame: &mut InputFrame) {
+            for bit in 0..self.inputs {
+                let mut x = cycle
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add((bit as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
+                x ^= x >> 31;
+                x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+                x ^= x >> 29;
+                frame.set(bit, x & 1 == 1);
+            }
+        }
+    }
+
+    /// The lanes whose [`LaneView::faulty`] differs from
+    /// [`LaneView::golden`] on some cycle, one lane and one bit at a time.
+    fn naive_deviating(
+        golden: &OutputTrace,
+        faulty: &OutputTrace,
+        converged_at: &[Option<u64>],
+    ) -> u64 {
+        let golden_view = LaneView::golden(golden);
+        let mut mask = 0u64;
+        for (lane, &at) in converged_at.iter().enumerate() {
+            let view = LaneView::faulty(golden, faulty, lane, at);
+            let deviates = (0..golden_view.num_cycles()).any(|cycle| {
+                (0..golden_view.width()).any(|w| golden_view.bit(w, cycle) != view.bit(w, cycle))
+            });
+            mask |= (deviates as u64) << lane;
+        }
+        mask
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The golden-lane prefilter is exactly "judge every lane": over
+        /// sampled corpus circuits, both fault models, both evaluation
+        /// paths and partial batches, `deviating_lanes` equals a per-lane
+        /// `LaneView` comparison (also on traces with bits flipped at the
+        /// edges of each lane's faulty window), and the tallies equal
+        /// those of calling `classify` on every lane.
+        #[test]
+        fn prefilter_equals_judging_every_lane(
+            kind in 0usize..7,
+            size_a in proptest::prelude::any::<usize>(),
+            size_b in proptest::prelude::any::<usize>(),
+            structure_seed in proptest::prelude::any::<u64>(),
+            seu in proptest::prelude::any::<bool>(),
+            cone in proptest::prelude::any::<bool>(),
+            early_exit in proptest::prelude::any::<bool>(),
+            grace_cycles in 0u64..4,
+            pick in 0usize..64,
+            raw_times in proptest::collection::vec(0u64..1000, 1..100),
+            cycles in 24u64..40,
+            cuts in proptest::collection::vec(0u64..1 << 20, 64),
+            flips in proptest::collection::vec(0usize..1 << 20, 0..8),
+        ) {
+            let spec = ffr_circuits::corpus::CorpusSpec::sampled(kind, size_a, size_b, structure_seed);
+            let cc = CompiledCircuit::compile(spec.build()).unwrap();
+            let stim = HashStimulus { inputs: cc.num_inputs(), cycles };
+            let watch = WatchList::all(&cc);
+            let judge = OutputMismatchJudge { grace_cycles };
+            let campaign = Campaign::new(&cc, &stim, &watch, &judge);
+            let point = if seu {
+                InjectionPoint::Seu(FfId::from_index(pick % cc.num_ffs()))
+            } else {
+                let nets = cc.comb_output_nets();
+                InjectionPoint::Set(nets[pick % nets.len()])
+            };
+            let times: Vec<u64> = raw_times.iter().map(|t| t % cycles).collect();
+            let mut config = CampaignConfig::new(0..cycles).with_cone(cone);
+            config.early_exit = early_exit;
+
+            let golden = &campaign.golden().trace;
+            let golden_view = LaneView::golden(golden);
+            let mut runner = campaign.point_runner(point);
+            let mut scratch = campaign.point_scratch();
+            let mut every_lane = [0usize; FailureClass::ALL.len()];
+            for chunk in times.chunks(64) {
+                campaign.simulate_batch_into(&mut runner, &mut scratch, chunk, &config);
+                let (trace, converged_at) = (&scratch.trace, &scratch.converged_at);
+                proptest::prop_assert_eq!(
+                    deviating_lanes(golden, trace, converged_at),
+                    naive_deviating(golden, trace, converged_at),
+                    "{} {:?}", spec.id(), point
+                );
+                for (lane, &inject_cycle) in chunk.iter().enumerate() {
+                    let view = LaneView::faulty(golden, trace, lane, converged_at[lane]);
+                    every_lane[judge.classify(&golden_view, &view, inject_cycle).tally_index()] += 1;
+                }
+
+                // The same rule holds for any trace and any re-convergence
+                // cycles: move some lanes' re-convergence, then flip bits in
+                // the last faulty row, the first golden-served row, or any
+                // row of a lane.
+                let (start, end) = (trace.start(), trace.end());
+                let mut golden_from = converged_at.clone();
+                for (at, &cut) in golden_from.iter_mut().zip(&cuts) {
+                    match cut % 3 {
+                        0 => {}
+                        1 => *at = None,
+                        _ => *at = Some(start + cut / 3 % (end - start + 1)),
+                    }
+                }
+                let mut flipped = trace.clone();
+                for &flip in flips.iter().filter(|_| trace.width() > 0) {
+                    let (lane, edge, r) = (flip % chunk.len(), flip / 64 % 3, flip / 192);
+                    let last = golden_from[lane].unwrap_or(end);
+                    let row = match edge {
+                        0 if last > start => last - 1,
+                        1 if last < end => last,
+                        _ => start + (r as u64) % (end - start),
+                    };
+                    let w = r % trace.width();
+                    flipped.set_word(w, row, flipped.word(w, row) ^ (1u64 << lane));
+                }
+                proptest::prop_assert_eq!(
+                    deviating_lanes(golden, &flipped, &golden_from),
+                    naive_deviating(golden, &flipped, &golden_from),
+                    "{} {:?} golden_from {:?} flips {:?}", spec.id(), point, &golden_from, &flips
+                );
+            }
+            let mut runner = campaign.point_runner(point);
+            let prefiltered = campaign.run_point_times_with(&mut runner, &mut scratch, &times, &config);
+            proptest::prop_assert_eq!(prefiltered, every_lane);
+            proptest::prop_assert_eq!(
+                runner.judge_calls() + runner.judge_golden_lanes(),
+                times.len() as u64
+            );
+        }
     }
 }

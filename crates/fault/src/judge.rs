@@ -10,6 +10,12 @@ use ffr_sim::LaneView;
 /// faulty scenario (which transparently serves golden data outside the
 /// simulated window), plus the injection cycle. They must be `Sync`: the
 /// campaign classifies scenarios from multiple worker threads.
+///
+/// Contract: a lane whose watched outputs equal golden on every cycle is
+/// [`FailureClass::Benign`]. The campaign relies on it — one bit-parallel
+/// pass per 64-lane batch tallies such lanes `Benign` without calling
+/// [`FailureJudge::classify`], so a judge only ever sees lanes that
+/// deviate somewhere.
 pub trait FailureJudge: Sync {
     /// Classify one fault scenario.
     fn classify(
